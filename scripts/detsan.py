@@ -47,20 +47,6 @@ SRC = REPO / "src"
 DEFAULT_LABELS = "ION-GPFS,CNL-EXT4"
 DEFAULT_KINDS = "MLC,PCM"
 
-#: ConfigResult fields that are *results*; provenance fields (backend,
-#: metrics, faults) legitimately differ across variants and are
-#: excluded from the canonical payload.
-_RESULT_FIELDS = (
-    "label",
-    "kind",
-    "bandwidth_mb",
-    "aggregate_mb",
-    "remaining_mb",
-    "channel_utilization",
-    "package_utilization",
-    "breakdown",
-    "parallelism",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +71,7 @@ def canonical_payload(
     from repro import obs
     from repro.cluster import IonServiceConfig, simulate_ion_service
     from repro.experiments import MatrixEngine, Workload
+    from repro.experiments.cache import cell_payload
 
     MiB = 1024 * 1024
     workload = Workload(
@@ -97,11 +84,13 @@ def canonical_payload(
     finally:
         obs.uninstall()
 
+    # the cached cell fields minus the backend provenance, which
+    # legitimately differs across the backend variants
     cells = {}
     for (label, kind), r in sorted(results.items()):
-        cells[f"{label}|{kind}"] = {
-            f: getattr(r, f) for f in _RESULT_FIELDS
-        }
+        fields = cell_payload(r)
+        del fields["backend"]
+        cells[f"{label}|{kind}"] = fields
     spans = sorted(
         (s.to_dict() for s in tracer.spans if s.domain == obs.SIM),
         key=lambda d: json.dumps(d, sort_keys=True),

@@ -36,10 +36,20 @@ worker chaos), recovered automatically and reported in a fault footer.
 ``--fault-seed`` (or the ``REPRO_FAULT_SEED`` env var) pins the seed so
 two runs inject byte-identical faults.
 
+The ``lifetime`` and ``netfault`` subcommands are specs from the
+service's exhibit registry (:mod:`repro.service.jobs`): each maps its
+own flags onto a :class:`~repro.service.jobs.LifetimeJob` /
+:class:`~repro.service.jobs.NetfaultJob` and hands it to one generic
+runner (:func:`_run_subcommand`), which owns the shared flags
+(``--scale``, ``--workers``, ``--cache-dir``, ``--faults``/
+``--fault-seed``, ``--trace``, ``--prom``, ``-o``), runs
+``spec.run(engine)`` and prints the footers — so the CLI computes
+exactly what the service's job of the same spec computes.
+
 ``serve`` starts the long-running JSON-lines TCP service
-(:mod:`repro.service`): typed cell/matrix/figure/headline jobs, bounded
-admission queue with backpressure, in-flight coalescing, streaming
-progress and a ``status`` metrics endpoint.  Talk to it with
+(:mod:`repro.service`): every registered job type, bounded admission
+queue with backpressure, in-flight coalescing, streaming progress and a
+``status`` metrics endpoint.  Talk to it with
 :class:`repro.service.ServiceClient` (see
 ``examples/service_quickstart.py``).
 """
@@ -47,10 +57,12 @@ progress and a ``status`` metrics endpoint.  Talk to it with
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Any, Callable, Optional
 
 from .experiments import (
     MatrixEngine,
@@ -98,58 +110,211 @@ def _exhibits(scale: float, engine: MatrixEngine):
     }
 
 
+# -- flags ---------------------------------------------------------------
+Option = tuple[tuple[str, ...], dict]
+
+#: flags several commands share: name -> (flags, argparse kwargs)
+_SHARED: dict[str, Option] = {
+    "scale": (("--scale",), dict(
+        type=float, default=1.0,
+        help="workload scale factor (default 1.0 = 96 MiB/client)",
+    )),
+    "kinds": (("--kinds",), dict(
+        default=None, help="comma-separated NVM kinds (default: SLC,MLC,TLC,PCM)",
+    )),
+    "workers": (("--workers",), dict(
+        type=int, default=1,
+        help="matrix-cell worker processes (0 = auto-detect, default 1)",
+    )),
+    "backend": (("--backend",), dict(
+        choices=("batch", "scalar"), default="batch",
+        help="matrix-cell execution backend: the columnar batch kernel "
+        "(default, bit-identical to scalar) or the frozen scalar reference",
+    )),
+    "cache_dir": (("--cache-dir",), dict(
+        type=Path, default=None,
+        help="persist matrix-cell results on disk (default: in-memory only)",
+    )),
+    "faults": (("--faults",), dict(
+        action="store_true",
+        help="inject the default seeded chaos regime into every matrix cell",
+    )),
+    "fault_seed": (("--fault-seed",), dict(
+        type=int, default=None,
+        help="fault-injection seed (default: $REPRO_FAULT_SEED or 0); "
+        "implies --faults",
+    )),
+    "trace": (("--trace",), dict(
+        type=Path, default=None, metavar="PATH",
+        help="record an observability trace (JSON lines) to PATH",
+    )),
+    "prom": (("--prom",), dict(
+        type=Path, default=None, metavar="PATH",
+        help="write the sweep's metrics in Prometheus text format to PATH",
+    )),
+    "stats_dir": (("--stats-dir",), dict(
+        type=Path, default=None, metavar="DIR",
+        help="write a per-cell stats.csv under DIR",
+    )),
+    "out": (("-o", "--out"), dict(
+        type=Path, default=None,
+        help="directory to write the exhibit text file into",
+    )),
+}
+
+
+def _shared(name: str, help_text: Optional[str] = None) -> Option:
+    """A shared flag, optionally with the command's own help text."""
+    flags, kwargs = _SHARED[name]
+    return flags, kwargs if help_text is None else {**kwargs, "help": help_text}
+
+
+def _parser(prog: str, description: str, options) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _names(text: Optional[str]) -> tuple[str, ...]:
+    """A comma-separated flag value as a tuple of names."""
+    return tuple(s.strip() for s in (text or "").split(",") if s.strip())
+
+
+def _numbers(parser, flag: str, text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        parser.error(f"{flag}: not numbers: {text!r}")
+
+
+# -- the shared runtime --------------------------------------------------
+def _open_cache(parser, args) -> ResultCache:
+    try:
+        return ResultCache(args.cache_dir)
+    except NotADirectoryError as exc:
+        parser.error(f"--cache-dir: {exc}")
+
+
+def _fault_spec(args):
+    """The chaos regime ``--faults``/``--fault-seed`` ask for, or None."""
+    if not getattr(args, "faults", False) and getattr(args, "fault_seed", None) is None:
+        return None
+    from .faults import FaultSpec
+
+    seed = args.fault_seed
+    if seed is None:
+        seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+    return FaultSpec.default_chaos(seed)
+
+
+def _start_trace(args):
+    if args.trace is None:
+        return None
+    from . import obs
+
+    return obs.install(obs.Tracer())
+
+
+def _finish_trace(tracer, path: Optional[Path]) -> None:
+    if tracer is None:
+        return
+    from . import obs
+
+    n_spans = obs.write_jsonl(tracer, path)
+    obs.uninstall()
+    print(
+        f"[trace: {n_spans} spans -> {path}; "
+        f"view with 'python -m repro obs report {path}']"
+    )
+
+
+def _engine(args, cache: ResultCache, faults=None, stats=None) -> MatrixEngine:
+    return MatrixEngine(
+        workers=None if args.workers == 0 else args.workers,
+        cache=cache,
+        faults=faults,
+        backend=getattr(args, "backend", "batch"),
+        stats=stats,
+    )
+
+
+def _run_subcommand(
+    name: str,
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    spec,
+    summary: Callable[[Any, float], str],
+    **run_kwargs: Any,
+) -> int:
+    """Run one exhibit spec under the shared flags and print its footers.
+
+    ``summary(report, elapsed)`` renders the exhibit's own footer line(s);
+    ``run_kwargs`` are passed on to ``spec.run``.
+    """
+    cache = _open_cache(parser, args)
+    faults = _fault_spec(args)
+    tracer = _start_trace(args)
+    engine = _engine(args, cache, faults)
+    t0 = time.time()
+    try:
+        report = spec.run(engine, **run_kwargs)
+    except (KeyError, ValueError) as exc:
+        print(f"{name} sweep: {exc}", file=sys.stderr)
+        return 2
+    elapsed = time.time() - t0
+    print(report.text)
+    print(summary(report, elapsed))
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / f"{name}.txt").write_text(report.text + "\n")
+    if args.prom is not None:
+        from .obs.export import prometheus_text
+        from .obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        report.publish(registry)
+        args.prom.write_text(prometheus_text(registry))
+        print(f"[metrics -> {args.prom}]")
+    _finish_trace(tracer, args.trace)
+    return 0
+
+
+# -- subcommands ---------------------------------------------------------
 def _serve_main(argv: list[str]) -> int:
     """``python -m repro serve``: run the simulation service."""
     import asyncio
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve simulation jobs over a JSON-lines TCP endpoint.",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=8077, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine worker processes per job (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="admission queue bound; beyond it jobs are rejected (default 64)",
-    )
-    parser.add_argument(
-        "--max-concurrency",
-        type=int,
-        default=4,
-        help="jobs executing simultaneously (default 4)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist matrix-cell results on disk (default: in-memory only)",
-    )
-    parser.add_argument(
-        "--stats-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write per-job/per-cell stats.csv under DIR",
+    parser = _parser(
+        "python -m repro serve",
+        "Serve simulation jobs over a JSON-lines TCP endpoint.",
+        (
+            (("--host",), dict(default="127.0.0.1", help="bind address")),
+            (("--port",), dict(
+                type=int, default=8077, help="bind port (0 = ephemeral)",
+            )),
+            _shared(
+                "workers",
+                "engine worker processes per job (0 = auto-detect, default 1)",
+            ),
+            (("--queue-limit",), dict(
+                type=int, default=64,
+                help="admission queue bound; beyond it jobs are rejected "
+                "(default 64)",
+            )),
+            (("--max-concurrency",), dict(
+                type=int, default=4, help="jobs executing simultaneously (default 4)",
+            )),
+            _shared("cache_dir"),
+            _shared("stats_dir", "write per-job/per-cell stats.csv under DIR"),
+        ),
     )
     args = parser.parse_args(argv)
 
     from .experiments.parallel import detect_workers
     from .service import ServiceServer, SimulationService
 
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
+    cache = _open_cache(parser, args)
     stats = None
     if args.stats_dir is not None:
         from .obs import CsvStatsRecorder
@@ -189,280 +354,118 @@ def _serve_main(argv: list[str]) -> int:
 
 def _lifetime_main(argv: list[str]) -> int:
     """``python -m repro lifetime``: the aged-device capacity sweep."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lifetime",
-        description="Sweep config x NVM kind x device age: bandwidth, "
+    from .experiments.lifetime import LIFETIME_KINDS, LIFETIME_LABELS
+    from .lifetime import DEFAULT_AGES
+    from .service.jobs import LifetimeJob
+
+    parser = _parser(
+        "python -m repro lifetime",
+        "Sweep config x NVM kind x device age: bandwidth, "
         "p99 latency, write amplification and wear spread on devices "
         "fast-forwarded to a fraction of rated lifetime.",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload scale factor (default 1.0 = 96 MiB/client)",
-    )
-    parser.add_argument(
-        "--labels",
-        default=None,
-        help="comma-separated config labels (default: device sweep + ION-GPFS)",
-    )
-    parser.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated NVM kinds (default: SLC,MLC,TLC,PCM)",
-    )
-    parser.add_argument(
-        "--ages",
-        default=None,
-        help="comma-separated lifetime fractions in [0,1) (default: 0,0.5,0.9)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=("none", "dynamic", "static"),
-        default="dynamic",
-        help="wear-leveling policy (default dynamic)",
-    )
-    parser.add_argument(
-        "--workload",
-        choices=("eigensolver", "checkpoint"),
-        default="eigensolver",
-        help="request stream: the read-dominated eigensolver sweep "
-        "(default) or the write-heavy double-buffered checkpoint stream "
-        "that separates wear-leveling policies at exhibit scale",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep-cell worker processes (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist sweep-cell results on disk (default: in-memory only)",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="overlay the default chaos regime under the age-coupled rates",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="fault-injection seed (default: $REPRO_FAULT_SEED or 0); "
-        "implies --faults",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSON lines) to PATH",
-    )
-    parser.add_argument(
-        "--prom",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the sweep's metrics in Prometheus text format to PATH",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        type=Path,
-        default=None,
-        help="directory to write the exhibit text file into",
+        (
+            _shared("scale"),
+            (("--labels",), dict(
+                default=None,
+                help="comma-separated config labels "
+                "(default: device sweep + ION-GPFS)",
+            )),
+            _shared("kinds"),
+            (("--ages",), dict(
+                default=None,
+                help="comma-separated lifetime fractions in [0,1) "
+                "(default: 0,0.5,0.9)",
+            )),
+            (("--policy",), dict(
+                choices=("none", "dynamic", "static"), default="dynamic",
+                help="wear-leveling policy (default dynamic)",
+            )),
+            (("--workload",), dict(
+                choices=("eigensolver", "checkpoint"), default="eigensolver",
+                help="request stream: the read-dominated eigensolver sweep "
+                "(default) or the write-heavy double-buffered checkpoint "
+                "stream that separates wear-leveling policies at exhibit scale",
+            )),
+            _shared(
+                "workers", "sweep-cell worker processes (0 = auto-detect, default 1)"
+            ),
+            _shared(
+                "cache_dir",
+                "persist sweep-cell results on disk (default: in-memory only)",
+            ),
+            _shared(
+                "faults", "overlay the default chaos regime under the age-coupled rates"
+            ),
+            _shared("fault_seed"),
+            _shared("trace"),
+            _shared("prom"),
+            _shared("out"),
+        ),
     )
     args = parser.parse_args(argv)
-
-    from .experiments.lifetime import (
-        LIFETIME_KINDS,
-        LIFETIME_LABELS,
-        lifetime_exhibit,
+    spec = LifetimeJob(
+        workload=_workload(args.scale, stream=args.workload),
+        labels=_names(args.labels) if args.labels else LIFETIME_LABELS,
+        kinds=_names(args.kinds) if args.kinds else LIFETIME_KINDS,
+        ages=_numbers(parser, "--ages", args.ages) if args.ages else DEFAULT_AGES,
+        wear_policy=args.policy,
     )
-    from .lifetime import DEFAULT_AGES, WearPolicy
-
-    labels = (
-        tuple(s.strip() for s in args.labels.split(",") if s.strip())
-        if args.labels
-        else LIFETIME_LABELS
+    return _run_subcommand(
+        "lifetime", parser, args, spec,
+        lambda report, elapsed: (
+            f"[lifetime: {len(report.results)} cells, {elapsed:.1f}s]"
+        ),
     )
-    kinds = (
-        tuple(s.strip() for s in args.kinds.split(",") if s.strip())
-        if args.kinds
-        else LIFETIME_KINDS
-    )
-    ages = (
-        tuple(float(s) for s in args.ages.split(",") if s.strip())
-        if args.ages
-        else DEFAULT_AGES
-    )
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    base_faults = None
-    if args.faults or args.fault_seed is not None:
-        from .faults import FaultSpec
-
-        fault_seed = args.fault_seed
-        if fault_seed is None:
-            fault_seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-        base_faults = FaultSpec.default_chaos(fault_seed)
-    tracer = None
-    if args.trace is not None:
-        from . import obs
-
-        tracer = obs.install(obs.Tracer())
-    engine = MatrixEngine(
-        workers=None if args.workers == 0 else args.workers, cache=cache
-    )
-    workload = _workload(args.scale, stream=args.workload)
-    t0 = time.time()
-    try:
-        report = lifetime_exhibit(
-            workload,
-            engine=engine,
-            labels=labels,
-            kinds=kinds,
-            ages=ages,
-            policy=WearPolicy(kind=args.policy),
-            base_faults=base_faults,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"lifetime sweep: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.time() - t0
-    print(report.text)
-    print(f"[lifetime: {len(report.results)} cells, {elapsed:.1f}s]")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "lifetime.txt").write_text(report.text + "\n")
-    if args.prom is not None:
-        from .obs.export import prometheus_text
-        from .obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        report.publish(registry)
-        args.prom.write_text(prometheus_text(registry))
-        print(f"[metrics -> {args.prom}]")
-    if tracer is not None:
-        from . import obs
-
-        n_spans = obs.write_jsonl(tracer, args.trace)
-        obs.uninstall()
-        print(
-            f"[trace: {n_spans} spans -> {args.trace}; "
-            f"view with 'python -m repro obs report {args.trace}']"
-        )
-    return 0
 
 
 def _netfault_main(argv: list[str]) -> int:
     """``python -m repro netfault``: the lossy-fabric exhibit + replay."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro netfault",
-        description="Sweep packet-loss rate x config x NVM kind over the "
+    from .service.jobs import NetfaultJob
+
+    parser = _parser(
+        "python -m repro netfault",
+        "Sweep packet-loss rate x config x NVM kind over the "
         "packetized go-back-N fabric and re-plot the CNL-vs-ION gap; or "
         "replay a recorded job trace against the simulation service.",
-    )
-    parser.add_argument(
-        "--loss-rates",
-        default="0,0.01,0.05,0.2",
-        help="comma-separated per-packet loss rates in [0,1] "
-        "(default 0,0.01,0.05,0.2)",
-    )
-    parser.add_argument(
-        "--labels",
-        default=None,
-        help="comma-separated config labels (default: all Table-2 rows)",
-    )
-    parser.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated NVM kinds (default: SLC,MLC,TLC,PCM)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload scale factor (default 1.0 = 96 MiB/client)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="matrix-cell worker processes (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="healthy-matrix backend (bit-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist healthy matrix cells on disk",
-    )
-    parser.add_argument(
-        "--net-seed",
-        type=int,
-        default=0,
-        help="per-packet loss-oracle seed (default 0)",
-    )
-    parser.add_argument(
-        "--mtu",
-        type=int,
-        default=4096,
-        help="frame payload size in bytes (default 4096)",
-    )
-    parser.add_argument(
-        "--stats-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write the per-packet net_stats.csv under DIR",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSON lines) to PATH",
-    )
-    parser.add_argument(
-        "--prom",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the sweep's metrics in Prometheus text format to PATH",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        type=Path,
-        default=None,
-        help="directory to write the exhibit text file into",
-    )
-    parser.add_argument(
-        "--replay",
-        type=Path,
-        default=None,
-        metavar="TRACE",
-        help="replay a recorded JSONL job trace (jobs with "
-        "arrival_offset_s) against an in-process service instead of "
-        "sweeping loss rates",
-    )
-    parser.add_argument(
-        "--speed",
-        type=float,
-        default=1.0,
-        help="replay clock multiplier (2 = twice as fast, 0 = all at "
-        "once; default 1)",
+        (
+            (("--loss-rates",), dict(
+                default="0,0.01,0.05,0.2",
+                help="comma-separated per-packet loss rates in [0,1] "
+                "(default 0,0.01,0.05,0.2)",
+            )),
+            (("--labels",), dict(
+                default=None,
+                help="comma-separated config labels (default: all Table-2 rows)",
+            )),
+            _shared("kinds"),
+            _shared("scale"),
+            _shared("workers"),
+            _shared("backend", "healthy-matrix backend (bit-identical either way)"),
+            _shared("cache_dir", "persist healthy matrix cells on disk"),
+            (("--net-seed",), dict(
+                type=int, default=0,
+                help="per-packet loss-oracle seed (default 0)",
+            )),
+            (("--mtu",), dict(
+                type=int, default=4096,
+                help="frame payload size in bytes (default 4096)",
+            )),
+            _shared("stats_dir", "write the per-packet net_stats.csv under DIR"),
+            _shared("trace"),
+            _shared("prom"),
+            _shared("out"),
+            (("--replay",), dict(
+                type=Path, default=None, metavar="TRACE",
+                help="replay a recorded JSONL job trace (jobs with "
+                "arrival_offset_s) against an in-process service instead "
+                "of sweeping loss rates",
+            )),
+            (("--speed",), dict(
+                type=float, default=1.0,
+                help="replay clock multiplier (2 = twice as fast, 0 = all "
+                "at once; default 1)",
+            )),
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -471,7 +474,7 @@ def _netfault_main(argv: list[str]) -> int:
         from .service.jobs import JobValidationError
 
         try:
-            report = run_replay(
+            replayed = run_replay(
                 args.replay,
                 workers=max(1, args.workers),
                 speed=args.speed,
@@ -480,93 +483,46 @@ def _netfault_main(argv: list[str]) -> int:
         except (OSError, JobValidationError) as exc:
             print(f"netfault replay: {exc}", file=sys.stderr)
             return 2
-        print(report.text())
-        return 0 if report.failed == 0 else 1
+        print(replayed.text())
+        return 0 if replayed.failed == 0 else 1
 
-    from .netfault.exhibit import netfault_exhibit
     from .netfault.stats import NetStatsRecorder
 
-    try:
-        loss_rates = tuple(
-            float(s) for s in args.loss_rates.split(",") if s.strip()
-        )
-    except ValueError:
-        parser.error(f"--loss-rates: not numbers: {args.loss_rates!r}")
-    labels = (
-        tuple(s.strip() for s in args.labels.split(",") if s.strip())
-        if args.labels
-        else None
+    spec = NetfaultJob(
+        workload=_workload(args.scale),
+        loss_rates=_numbers(parser, "--loss-rates", args.loss_rates),
+        labels=_names(args.labels),
+        kinds=_names(args.kinds),
+        net_seed=args.net_seed,
+        mtu_bytes=args.mtu,
     )
-    kinds = (
-        tuple(s.strip() for s in args.kinds.split(",") if s.strip())
-        if args.kinds
-        else None
-    )
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    tracer = None
-    if args.trace is not None:
-        from . import obs
-
-        tracer = obs.install(obs.Tracer())
     stats = NetStatsRecorder(args.stats_dir)
-    engine = MatrixEngine(
-        workers=None if args.workers == 0 else args.workers,
-        cache=cache,
-        backend=args.backend,
-    )
-    t0 = time.time()
+
+    def summary(report, elapsed: float) -> str:
+        line = (
+            f"[netfault: {len(report.results)} cells over "
+            f"{len(report.loss_rates)} loss rates, {elapsed:.1f}s]"
+        )
+        if args.stats_dir is not None:
+            s = stats.summary()
+            line += (
+                f"\n[net stats: {s['packets_sent']} packets "
+                f"({s['packets_lost']} lost, {s['retransmits']} retransmits) "
+                f"-> {args.stats_dir}/net_stats.csv]"
+            )
+        return line
+
     try:
-        report = netfault_exhibit(
-            _workload(args.scale),
-            engine=engine,
-            loss_rates=loss_rates,
-            labels=labels,
-            kinds=kinds,
-            net_seed=args.net_seed,
-            mtu_bytes=args.mtu,
-            stats=stats,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"netfault sweep: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.time() - t0
-    print(report.text)
-    print(
-        f"[netfault: {len(report.results)} cells over "
-        f"{len(report.loss_rates)} loss rates, {elapsed:.1f}s]"
-    )
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "netfault.txt").write_text(report.text + "\n")
-    if args.stats_dir is not None:
-        s = stats.summary()
-        print(
-            f"[net stats: {s['packets_sent']} packets "
-            f"({s['packets_lost']} lost, {s['retransmits']} retransmits) "
-            f"-> {args.stats_dir}/net_stats.csv]"
-        )
-    stats.close()
-    if args.prom is not None:
-        from .obs.export import prometheus_text
-        from .obs.registry import MetricsRegistry
+        return _run_subcommand("netfault", parser, args, spec, summary, stats=stats)
+    finally:
+        stats.close()
 
-        registry = MetricsRegistry()
-        report.publish(registry)
-        args.prom.write_text(prometheus_text(registry))
-        print(f"[metrics -> {args.prom}]")
-    if tracer is not None:
-        from . import obs
 
-        n_spans = obs.write_jsonl(tracer, args.trace)
-        obs.uninstall()
-        print(
-            f"[trace: {n_spans} spans -> {args.trace}; "
-            f"view with 'python -m repro obs report {args.trace}']"
-        )
-    return 0
+#: exhibit subcommands with flags of their own (listed by ``list``)
+_SUBCOMMANDS = {"lifetime": _lifetime_main, "netfault": _netfault_main}
+
+#: tool subcommands: name -> module whose ``main(argv)`` runs it
+_TOOLS = {"lint": ".lint.cli", "flow": ".flow.cli", "obs": ".obs.report"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -574,125 +530,47 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "serve":
         return _serve_main(argv[1:])
-    if argv and argv[0] == "lifetime":
-        return _lifetime_main(argv[1:])
-    if argv and argv[0] == "netfault":
-        return _netfault_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from .lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "flow":
-        from .flow.cli import main as flow_main
-
-        return flow_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from .obs.report import main as obs_main
-
-        return obs_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the paper's tables and figures from the simulation.",
-    )
-    parser.add_argument(
-        "exhibit",
-        help="exhibit name, 'all', 'list', or 'serve'",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload scale factor (default 1.0 = 96 MiB/client)",
-    )
-    parser.add_argument(
-        "-o",
-        "--out",
-        type=Path,
-        default=None,
-        help="directory to write exhibit text files into",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="matrix-cell worker processes (0 = auto-detect, default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="matrix-cell execution backend: the columnar batch kernel "
-        "(default, bit-identical to scalar) or the frozen scalar reference",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist matrix-cell results on disk (default: in-memory only)",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="inject the default seeded chaos regime into every matrix cell",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="fault-injection seed (default: $REPRO_FAULT_SEED or 0); "
-        "implies --faults",
-    )
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSON lines) to PATH; "
-        "inspect with 'python -m repro obs report PATH'",
-    )
-    parser.add_argument(
-        "--stats-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="write a per-cell stats.csv under DIR",
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
+    if argv and argv[0] in _TOOLS:
+        tool = importlib.import_module(_TOOLS[argv[0]], __package__)
+        return tool.main(argv[1:])
+    parser = _parser(
+        "python -m repro",
+        "Regenerate the paper's tables and figures from the simulation.",
+        (
+            (("exhibit",), dict(help="exhibit name, 'all', 'list', or 'serve'")),
+            _shared("scale"),
+            _shared("out", "directory to write exhibit text files into"),
+            _shared("workers"),
+            _shared("backend"),
+            _shared("cache_dir"),
+            _shared("faults"),
+            _shared("fault_seed"),
+            _shared(
+                "trace",
+                "record an observability trace (JSON lines) to PATH; "
+                "inspect with 'python -m repro obs report PATH'",
+            ),
+            _shared("stats_dir"),
+        ),
     )
     args = parser.parse_args(argv)
 
-    try:
-        cache = ResultCache(args.cache_dir)
-    except NotADirectoryError as exc:
-        parser.error(f"--cache-dir: {exc}")
-    faults = None
-    if args.faults or args.fault_seed is not None:
-        from .faults import FaultSpec
-
-        fault_seed = args.fault_seed
-        if fault_seed is None:
-            fault_seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-        faults = FaultSpec.default_chaos(fault_seed)
-    tracer = None
-    if args.trace is not None:
-        from . import obs
-
-        tracer = obs.install(obs.Tracer())
+    cache = _open_cache(parser, args)
+    faults = _fault_spec(args)
+    tracer = _start_trace(args)
     stats = None
     if args.stats_dir is not None:
         from .obs import CsvStatsRecorder
 
         stats = CsvStatsRecorder(args.stats_dir)
-    engine = MatrixEngine(
-        workers=None if args.workers == 0 else args.workers,
-        cache=cache,
-        faults=faults,
-        backend=args.backend,
-        stats=stats,
-    )
+    engine = _engine(args, cache, faults, stats)
     exhibits = _exhibits(args.scale, engine)
     if args.exhibit == "list":
         print("\n".join(exhibits))
-        print("lifetime  (subcommand: python -m repro lifetime --help)")
-        print("netfault  (subcommand: python -m repro netfault --help)")
+        for name in _SUBCOMMANDS:
+            print(f"{name}  (subcommand: python -m repro {name} --help)")
         return 0
     names = list(exhibits) if args.exhibit == "all" else [args.exhibit]
     unknown = [n for n in names if n not in exhibits]
@@ -745,15 +623,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{fs['cell_timeouts']} cell timeouts, "
             f"{fs['cell_retries']} cells retried — all recovered]"
         )
-    if tracer is not None:
-        from . import obs
-
-        n_spans = obs.write_jsonl(tracer, args.trace)
-        obs.uninstall()
-        print(
-            f"[trace: {n_spans} spans -> {args.trace}; "
-            f"view with 'python -m repro obs report {args.trace}']"
-        )
+    _finish_trace(tracer, args.trace)
     if stats is not None:
         s = stats.summary()
         stats.close()

@@ -23,7 +23,7 @@ from .cache import SCHEMA_VERSION, ResultCache
 from .cost import ComponentCosts, DesignPoint, capacity_study
 from .future import FutureSweepResult, future_device_sweep
 from .headline import HeadlineResults, compute_headline
-from .lifetime import LIFETIME_LABELS, lifetime_exhibit
+from .lifetime import LIFETIME_LABELS
 from .parallel import CellTiming, MatrixEngine, detect_workers
 from .runner import DEFAULT_WORKLOAD, ConfigResult, Workload, run_config, run_matrix
 from .sensitivity import SensitivityReport, sensitivity_analysis
@@ -43,7 +43,6 @@ __all__ = [
     "FutureSweepResult",
     "future_device_sweep",
     "LIFETIME_LABELS",
-    "lifetime_exhibit",
     "SensitivityReport",
     "sensitivity_analysis",
     "ExpConfig",

@@ -46,6 +46,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "ResultCache",
     "cell_key",
+    "cell_payload",
+    "key_digest",
     "peak_key",
     "lifetime_key",
 ]
@@ -81,9 +83,36 @@ _CELL_FIELDS = (
 )
 
 
-def _digest(parts: dict) -> str:
+def key_digest(parts: dict) -> str:
+    """SHA-256 of the canonical JSON rendering of a key's parts."""
     blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _entry_key(
+    entry: str,
+    label: str,
+    kind: str,
+    workload: "Workload",
+    seed: int,
+    faults: Optional["FaultSpec"] = None,
+    **extra: object,
+) -> str:
+    """The one key body every entry type shares; ``extra`` adds the
+    entry type's own identity fields.  ``faults`` participates only
+    when present, so fault-free keys never carry it."""
+    parts = {
+        "schema": SCHEMA_VERSION,
+        "entry": entry,
+        "label": label,
+        "kind": kind,
+        "workload": dataclasses.asdict(workload),
+        "seed": seed,
+        **extra,
+    }
+    if faults is not None:
+        parts["faults"] = faults.signature()
+    return key_digest(parts)
 
 
 def cell_key(
@@ -101,46 +130,15 @@ def cell_key(
     faulty results can never be served for healthy requests (or vice
     versa).
     """
-    parts = {
-        "schema": SCHEMA_VERSION,
-        "entry": "cell",
-        "label": label,
-        "kind": kind,
-        "workload": dataclasses.asdict(workload),
-        "seed": seed,
-        "with_remaining": bool(with_remaining),
-    }
-    if faults is not None:
-        parts["faults"] = faults.signature()
-    return _digest(parts)
+    return _entry_key(
+        "cell", label, kind, workload, seed, faults,
+        with_remaining=bool(with_remaining),
+    )
 
 
-#: LifetimeCellResult fields persisted in a lifetime entry
-_LIFETIME_FIELDS = (
-    "label",
-    "kind",
-    "age_fraction",
-    "wear_policy",
-    "bandwidth_mb",
-    "aggregate_mb",
-    "p50_latency_ms",
-    "p99_latency_ms",
-    "max_latency_ms",
-    "waf",
-    "wear_spread",
-    "wear_gini",
-    "mean_wear",
-    "total_erases",
-    "retired_blocks",
-    "gc_runs",
-    "gc_moved_pages",
-    "wl_moved_pages",
-    "host_writes_pages",
-    "read_fault_p",
-    "faults_injected",
-    "fault_penalty_ns",
-    "backend",
-)
+def cell_payload(result: "ConfigResult") -> dict:
+    """A ConfigResult's cached fields: the cell entry and wire payload."""
+    return {name: getattr(result, name) for name in _CELL_FIELDS}
 
 
 def lifetime_key(
@@ -159,33 +157,15 @@ def lifetime_key(
     different leveling regimes never collide; ``faults`` participates
     only when present, like :func:`cell_key`.
     """
-    parts = {
-        "schema": SCHEMA_VERSION,
-        "entry": "lifetime",
-        "label": label,
-        "kind": kind,
-        "workload": dataclasses.asdict(workload),
-        "seed": seed,
-        "aging": aging.signature(),
-        "policy": policy.signature(),
-    }
-    if faults is not None:
-        parts["faults"] = faults.signature()
-    return _digest(parts)
+    return _entry_key(
+        "lifetime", label, kind, workload, seed, faults,
+        aging=aging.signature(), policy=policy.signature(),
+    )
 
 
 def peak_key(label: str, kind: str, workload: "Workload", seed: int) -> str:
     """Cache key of one unconstrained-media-peak replay."""
-    return _digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "entry": "peak",
-            "label": label,
-            "kind": kind,
-            "workload": dataclasses.asdict(workload),
-            "seed": seed,
-        }
-    )
+    return _entry_key("peak", label, kind, workload, seed)
 
 
 class ResultCache:
@@ -334,12 +314,11 @@ class ResultCache:
         with_remaining: bool,
         faults: Optional["FaultSpec"] = None,
     ) -> None:
-        payload = {name: getattr(result, name) for name in _CELL_FIELDS}
         self._store(
             cell_key(
                 result.label, result.kind, workload, seed, with_remaining, faults
             ),
-            payload,
+            cell_payload(result),
         )
 
     # -- lifetime cells -------------------------------------------------
@@ -353,20 +332,22 @@ class ResultCache:
         policy: "WearPolicy",
         faults: Optional["FaultSpec"] = None,
     ) -> Optional["LifetimeCellResult"]:
-        """Return a cached aged-sweep cell, or ``None`` on miss."""
+        """Return a cached aged-sweep cell, or ``None`` on miss.
+
+        A lifetime entry persists every :class:`LifetimeCellResult` field.
+        """
         from ..lifetime.sweep import LifetimeCellResult
 
+        names = [f.name for f in dataclasses.fields(LifetimeCellResult)]
         payload = self._load(
             lifetime_key(label, kind, workload, seed, aging, policy, faults),
-            required=_LIFETIME_FIELDS,
+            required=tuple(names),
         )
         if payload is None:
             self.misses += 1
             return None
         self._count_hit()
-        return LifetimeCellResult(
-            **{name: payload[name] for name in _LIFETIME_FIELDS}
-        )
+        return LifetimeCellResult(**{name: payload[name] for name in names})
 
     def put_lifetime(
         self,
@@ -377,12 +358,11 @@ class ResultCache:
         policy: "WearPolicy",
         faults: Optional["FaultSpec"] = None,
     ) -> None:
-        payload = {name: getattr(result, name) for name in _LIFETIME_FIELDS}
         self._store(
             lifetime_key(
                 result.label, result.kind, workload, seed, aging, policy, faults
             ),
-            payload,
+            dataclasses.asdict(result),
         )
 
     # -- peaks ----------------------------------------------------------

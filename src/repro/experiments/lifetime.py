@@ -1,29 +1,20 @@
-"""The ``lifetime`` exhibit: aged-device capacity planning.
+"""The ``lifetime`` exhibit's default axes: aged-device capacity planning.
 
-A thin exhibit-level wrapper over :func:`repro.lifetime.lifetime_sweep`
-that wires in the repo's default axes — the Figure-8 device-improvement
-configurations plus the ION baseline, all four Table-1 media, ages
-{0%, 50%, 90%} of rated lifetime — and optionally publishes every cell
-into a :class:`~repro.obs.registry.MetricsRegistry` for the Prometheus
-endpoint.  ROADMAP's "device lifetime scenarios" item: the Table-2
-matrix as a function of device age.
+The exhibit itself is the registry spec
+:class:`~repro.service.jobs.LifetimeJob`, which runs
+:func:`repro.lifetime.lifetime_sweep`; ``python -m repro lifetime``
+fills its axes from these defaults — the Figure-8 device-improvement
+configurations plus the ION baseline and all four Table-1 media (ages
+default to :data:`repro.lifetime.DEFAULT_AGES`).  ROADMAP's "device
+lifetime scenarios" item: the Table-2 matrix as a function of device
+age.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
-
-from ..lifetime.sweep import DEFAULT_AGES, LifetimeSweepReport, lifetime_sweep
-from ..lifetime.wear import WearPolicy
 from .configs import DEVICE_SWEEP_LABELS
-from .runner import DEFAULT_WORKLOAD, Workload
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..faults.plan import FaultSpec
-    from ..obs.registry import MetricsRegistry
-    from .parallel import MatrixEngine
-
-__all__ = ["LIFETIME_LABELS", "lifetime_exhibit"]
+__all__ = ["LIFETIME_LABELS", "LIFETIME_KINDS"]
 
 #: default config axis: the device-improvement sweep plus the shared
 #: ION baseline, the configurations whose lifetime a deployment planner
@@ -32,30 +23,3 @@ LIFETIME_LABELS = DEVICE_SWEEP_LABELS + ("ION-GPFS",)
 
 #: default media axis (all Table-1 kinds, by name)
 LIFETIME_KINDS = ("SLC", "MLC", "TLC", "PCM")
-
-
-def lifetime_exhibit(
-    workload: Workload = DEFAULT_WORKLOAD,
-    engine: Optional["MatrixEngine"] = None,
-    labels: Sequence[str] = LIFETIME_LABELS,
-    kinds: Sequence[str] = LIFETIME_KINDS,
-    ages: Sequence[float] = DEFAULT_AGES,
-    policy: WearPolicy = WearPolicy(kind="dynamic"),
-    seed: int = 1013,
-    base_faults: Optional["FaultSpec"] = None,
-    registry: Optional["MetricsRegistry"] = None,
-) -> LifetimeSweepReport:
-    """Run the aged-device sweep and (optionally) export its metrics."""
-    report = lifetime_sweep(
-        labels,
-        kinds=kinds,
-        ages=ages,
-        policy=policy,
-        workload=workload,
-        seed=seed,
-        base_faults=base_faults,
-        engine=engine,
-    )
-    if registry is not None:
-        report.publish(registry)
-    return report

@@ -140,22 +140,38 @@ class ConfigResult:
 def emit_replay_spans(tr: "obs.Tracer", label: str, kind: str, m: RunMetrics) -> None:
     """Emit the sim-domain span tree for one computed cell.
 
-    One root span per replay over ``[0, makespan]`` plus one child per
-    breakdown category, tiling the makespan by its attributed fraction
-    (the last child absorbs rounding), so per-layer attribution covers
-    ~100% of simulated time by construction.  Site ids derive from the
-    cell identity alone (``site_key``), making the sim span tree
-    identical across worker counts and across the scalar/batch
-    backends.  Pure function of the already-computed metrics: no clock
+    Site ids derive from the cell identity alone (``site_key``), making
+    the sim span tree identical across worker counts and across the
+    scalar/batch backends.
+    """
+    tile_makespan_spans(
+        tr, m, "replay", f"{label}|{kind}",
+        ("replay", label, kind), ("attrib", label, kind),
+    )
+
+
+def tile_makespan_spans(
+    tr: "obs.Tracer",
+    m: RunMetrics,
+    name: str,
+    cell: str,
+    root_site: tuple,
+    attrib_site: tuple,
+) -> None:
+    """One root span ``name`` over ``[0, makespan]`` plus one child per
+    breakdown category tiling it by its attributed fraction.
+
+    The last child absorbs rounding, so per-layer attribution covers
+    ~100% of simulated time by construction.  ``root_site`` is the
+    root's ``site_key``; each child's is ``attrib_site`` plus its
+    category.  Pure function of the already-computed metrics: no clock
     reads, no simulator state touched.
     """
     makespan = int(m.makespan_ns)
     if makespan <= 0:
         return
-    cell = f"{label}|{kind}"
     root = tr.sim_span(
-        "device", "replay", 0, makespan,
-        site_key=("replay", label, kind), cell=cell,
+        "device", name, 0, makespan, site_key=root_site, cell=cell,
     )
     fracs = [(k, float(m.breakdown.get(k, 0.0))) for k in BREAKDOWN_KEYS]
     if sum(f for _, f in fracs) <= 0.0:
@@ -168,7 +184,7 @@ def emit_replay_spans(tr: "obs.Tracer", label: str, kind: str, m: RunMetrics) ->
             continue
         tr.sim_span(
             key, "attribution", t, t + dur, parent=root,
-            site_key=("attrib", label, kind, key), cell=cell,
+            site_key=(*attrib_site, key), cell=cell,
         )
         t += dur
 

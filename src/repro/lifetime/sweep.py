@@ -98,51 +98,20 @@ class LifetimeCellResult:
 
 
 def _emit_cell_spans(tr, result: LifetimeCellResult, metrics) -> None:
-    """Sim-domain span tree for one lifetime cell.
-
-    Mirrors :func:`repro.experiments.runner.emit_replay_spans`: one
-    root over ``[0, makespan]`` plus one child per breakdown category
-    tiling it (last child absorbs rounding), so per-layer attribution
-    covers ~100% of simulated time and the ``obs report`` coverage
-    gate holds for lifetime traces too.  Site ids derive from the full
-    cell identity (label, kind, age, policy) so traces stay stable
-    across worker counts and no two ages of the same cell collide.
+    """Sim-domain span tree for one lifetime cell, tiled like a Table-2
+    replay's, so the ``obs report`` coverage gate holds for lifetime
+    traces too.  Site ids derive from the full cell identity (label,
+    kind, age, policy) so traces stay stable across worker counts and
+    no two ages of the same cell collide.
     """
-    from ..ssd.metrics import BREAKDOWN_KEYS
+    from ..experiments.runner import tile_makespan_spans
 
-    makespan = int(metrics.makespan_ns)
-    if makespan <= 0:
-        return
     age = f"{result.age_fraction:.2f}"
-    cell = f"{result.label}|{result.kind}|age={age}"
     ident = (result.label, result.kind, age, result.wear_policy)
-    root = tr.sim_span(
-        "device",
-        "lifetime",
-        0,
-        makespan,
-        site_key=("lifetime", *ident),
-        cell=cell,
+    tile_makespan_spans(
+        tr, metrics, "lifetime", f"{result.label}|{result.kind}|age={age}",
+        ("lifetime", *ident), ("lifetime-attrib", *ident),
     )
-    fracs = [(k, float(metrics.breakdown.get(k, 0.0))) for k in BREAKDOWN_KEYS]
-    if sum(f for _, f in fracs) <= 0.0:
-        return
-    t = 0
-    for i, (key, frac) in enumerate(fracs):
-        dur = makespan - t if i == len(fracs) - 1 else int(round(frac * makespan))
-        dur = max(0, min(dur, makespan - t))
-        if dur == 0:
-            continue
-        tr.sim_span(
-            key,
-            "attribution",
-            t,
-            t + dur,
-            parent=root,
-            site_key=("lifetime-attrib", *ident, key),
-            cell=cell,
-        )
-        t += dur
 
 
 def run_lifetime_cell(
@@ -278,6 +247,17 @@ class LifetimeSweepReport:
 
     def publish(self, registry: "MetricsRegistry") -> None:
         publish_lifetime_metrics(registry, self.results.values())
+
+    def to_payload(self) -> dict:
+        """The service's JSON result payload."""
+        return {
+            "kind": "lifetime",
+            "results": {
+                f"{label}|{kind}|{age:g}": result_to_dict(res)
+                for (label, kind, age), res in self.results.items()
+            },
+            "text": self.text,
+        }
 
 
 def lifetime_sweep(

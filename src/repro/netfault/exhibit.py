@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.architecture import GPFS_CLIENT_EFFICIENCY, make_ion_device
+from ..experiments.cache import cell_payload
 from ..experiments.configs import TABLE2_CONFIGS, config_by_label
 from ..experiments.runner import ConfigResult, Workload
 from ..nvm.kinds import KINDS, kind_by_name
@@ -93,6 +94,24 @@ class NetfaultReport:
                 "per-client bandwidth under fabric loss (MB/s)",
                 {"loss_rate": f"{rate:g}", "config": label, "kind": kind},
             ).set(res.bandwidth_mb)
+
+    def to_payload(self) -> dict:
+        """The service's JSON result payload."""
+        return {
+            "kind": "netfault",
+            "calibrations": {
+                f"{rate:g}": {
+                    "delivered_factor": cal.delivered_factor,
+                    "unreachable": cal.unreachable,
+                }
+                for rate, cal in self.calibrations.items()
+            },
+            "results": {
+                f"{rate:g}|{label}|{kind}": cell_payload(res)
+                for (rate, label, kind), res in self.results.items()
+            },
+            "text": self.text,
+        }
 
 
 def _degraded_ion_cell(

@@ -31,25 +31,17 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Optional
 
-from ..experiments.cache import _CELL_FIELDS, ResultCache
-from ..experiments.figures import figure7, figure8, figure9, figure10
-from ..experiments.headline import compute_headline
+from ..experiments.cache import ResultCache, cell_payload
 from ..experiments.parallel import MatrixEngine
 from ..faults.errors import is_transient
 from ..obs.export import CsvStatsRecorder
-from .jobs import (
-    CellJob,
-    FigureJob,
-    HeadlineJob,
-    JobSpec,
-    LifetimeJob,
-    MatrixJob,
-    NetfaultJob,
-    ServiceError,
-)
+from .jobs import JobSpec, ServiceError
 from .metrics import ServiceMetrics
 
 __all__ = ["EngineExecutor", "JobTimeout", "execute_job", "result_to_payload"]
+
+#: a ConfigResult as the JSON-safe dict the wire protocol carries
+result_to_payload = cell_payload
 
 
 class JobTimeout(ServiceError):
@@ -57,101 +49,14 @@ class JobTimeout(ServiceError):
 
     code = "timeout"
 
-_FIGURES = {
-    "figure7": figure7,
-    "figure8": figure8,
-    "figure9": figure9,
-    "figure10": figure10,
-}
-
-
-def result_to_payload(result) -> dict:
-    """A ConfigResult as the JSON-safe dict the wire protocol carries."""
-    return {name: getattr(result, name) for name in _CELL_FIELDS}
-
 
 def execute_job(spec: JobSpec, engine: MatrixEngine) -> dict:
     """Run one validated job to a JSON-serialisable result payload.
 
-    Blocking; called on an executor thread.  Cell/matrix payloads carry
-    every cached ConfigResult field, figure/headline payloads carry the
-    rendered exhibit text.
+    Blocking; called on an executor thread.  The spec computes itself
+    (:meth:`JobSpec.run`); its report renders the payload.
     """
-    if isinstance(spec, CellJob):
-        cell = (spec.label, spec.kind)
-        results = engine.run_cells(
-            [cell], spec.workload, spec.seed, spec.with_remaining
-        )
-        return {"kind": "cell", "result": result_to_payload(results[cell])}
-    if isinstance(spec, MatrixJob):
-        results = engine.run_matrix(
-            spec.labels, spec.kinds, spec.workload, spec.seed, spec.with_remaining
-        )
-        return {
-            "kind": "matrix",
-            "results": {
-                f"{label}|{kind}": result_to_payload(res)
-                for (label, kind), res in results.items()
-            },
-        }
-    if isinstance(spec, FigureJob):
-        text = _FIGURES[spec.figure](spec.workload, engine=engine).text
-        return {"kind": "figure", "figure": spec.figure, "text": text}
-    if isinstance(spec, HeadlineJob):
-        text = compute_headline(spec.workload, engine=engine).render()
-        return {"kind": "headline", "text": text}
-    if isinstance(spec, LifetimeJob):
-        from ..experiments.lifetime import lifetime_exhibit
-        from ..lifetime.wear import WearPolicy
-
-        report = lifetime_exhibit(
-            spec.workload,
-            engine=engine,
-            labels=spec.labels,
-            kinds=spec.kinds,
-            ages=spec.ages,
-            policy=WearPolicy(kind=spec.wear_policy),
-            seed=spec.seed,
-        )
-        from ..lifetime.sweep import result_to_dict
-
-        return {
-            "kind": "lifetime",
-            "results": {
-                f"{label}|{kind}|{age:g}": result_to_dict(res)
-                for (label, kind, age), res in report.results.items()
-            },
-            "text": report.text,
-        }
-    if isinstance(spec, NetfaultJob):
-        from ..netfault.exhibit import netfault_exhibit
-
-        report = netfault_exhibit(
-            spec.workload,
-            engine=engine,
-            loss_rates=spec.loss_rates,
-            labels=spec.labels or None,
-            kinds=spec.kinds or None,
-            net_seed=spec.net_seed,
-            mtu_bytes=spec.mtu_bytes,
-            seed=spec.seed,
-        )
-        return {
-            "kind": "netfault",
-            "calibrations": {
-                f"{rate:g}": {
-                    "delivered_factor": cal.delivered_factor,
-                    "unreachable": cal.unreachable,
-                }
-                for rate, cal in report.calibrations.items()
-            },
-            "results": {
-                f"{rate:g}|{label}|{kind}": result_to_payload(res)
-                for (rate, label, kind), res in report.results.items()
-            },
-            "text": report.text,
-        }
-    raise TypeError(f"unknown job spec {type(spec).__name__}")
+    return spec.run(engine).to_payload()
 
 
 class EngineExecutor:

@@ -1,31 +1,45 @@
-"""Typed job specifications for the simulation service.
+"""Typed job specifications: the exhibit registry.
 
 A job names work the experiment engine already knows how to do — one
-matrix cell, a (configs x kinds) grid, a whole figure, or the headline
-claims — plus scheduling attributes (priority, deadline).  Every spec
-is frozen, validates itself eagerly (a bad label is rejected at
-admission, not minutes later inside a worker), serialises to a flat
-JSON dict for the wire protocol, and exposes a deterministic
-:meth:`JobSpec.key` aligned with the :class:`~repro.experiments.cache`
-key schema so identical in-flight jobs can be coalesced.
+matrix cell, a (configs x kinds) grid, a whole figure, the headline
+claims, an aged-device sweep or a lossy-fabric sweep — plus scheduling
+attributes (priority, deadline).  Each spec is a frozen dataclass whose
+fields *are* its exhibit's parameters, and :data:`JOB_TYPES` registers
+every spec under its wire name.
+
+A spec implements only what is particular to its exhibit: value checks
+(:meth:`JobSpec.validate`), :meth:`JobSpec.run` and
+:meth:`JobSpec.describe`.  Everything else derives from the dataclass
+fields — the type checks, the flat JSON wire dict (:meth:`to_dict`,
+:func:`job_from_dict`) and the deterministic coalescing key
+(:meth:`JobSpec.key`, aligned with the :mod:`repro.experiments.cache`
+key schema so identical in-flight jobs coalesce).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
-from ..experiments.cache import SCHEMA_VERSION, cell_key
+from ..experiments import figures
+from ..experiments.cache import SCHEMA_VERSION, cell_key, cell_payload, key_digest
 from ..experiments.configs import TABLE2_CONFIGS
+from ..experiments.headline import compute_headline
 from ..experiments.runner import DEFAULT_WORKLOAD, Workload
+from ..lifetime.wear import WEAR_POLICIES, WearPolicy
 from ..nvm.kinds import KINDS
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..experiments.parallel import MatrixEngine
+    from ..lifetime.sweep import LifetimeSweepReport
+    from ..netfault.exhibit import NetfaultReport
+    from ..netfault.stats import NetStatsRecorder
 
 __all__ = [
     "ServiceError",
     "JobValidationError",
+    "JobReport",
     "JobSpec",
     "CellJob",
     "MatrixJob",
@@ -33,13 +47,33 @@ __all__ = [
     "HeadlineJob",
     "LifetimeJob",
     "NetfaultJob",
+    "JOB_TYPES",
+    "SCHEDULING_FIELDS",
     "job_from_dict",
     "FIGURE_NAMES",
 ]
 
-VALID_LABELS = frozenset(c.label for c in TABLE2_CONFIGS)
-VALID_KINDS = frozenset(k.name for k in KINDS)
+VALID_LABELS = tuple(sorted(c.label for c in TABLE2_CONFIGS))
+VALID_KINDS = tuple(sorted(k.name for k in KINDS))
 FIGURE_NAMES = ("figure7", "figure8", "figure9", "figure10")
+
+#: fields whose values must be known names, wherever a spec declares
+#: them: field -> (what the error calls a value, the valid names)
+_NAMED_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "label": ("config label", VALID_LABELS),
+    "labels": ("config label", VALID_LABELS),
+    "kind": ("NVM kind", VALID_KINDS),
+    "kinds": ("NVM kind", VALID_KINDS),
+    "figure": ("figure", FIGURE_NAMES),
+    "wear_policy": ("wear policy", WEAR_POLICIES),
+}
+
+#: fields that say *when* a job runs, not *what* it computes: they stay
+#: out of coalescing/cache keys, and all but ``priority`` are left out
+#: of the wire dict while at their defaults
+SCHEDULING_FIELDS = (
+    "priority", "deadline_s", "timeout_s", "trace_id", "arrival_offset_s",
+)
 
 
 class ServiceError(Exception):
@@ -61,6 +95,99 @@ class JobValidationError(ServiceError):
     """The job spec itself is malformed (unknown label/kind/figure...)."""
 
     code = "invalid_job"
+
+
+# -- field-driven typing -------------------------------------------------
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, (tuple, list)) and all(check(x) for x in v)
+
+
+#: field annotation -> (value check, what the error says it must be)
+_FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "int": (_is_int, "an int"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "a number or null"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[str, ...]": (_is_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "tuple[float, ...]": (_is_list_of(_is_number), "a list of numbers"),
+    "Workload": (lambda v: isinstance(v, Workload), "a workload object"),
+}
+
+
+def _check_types(obj: Any, prefix: str = "") -> None:
+    """Reject any dataclass field whose value does not match its annotation."""
+    for f in dataclasses.fields(obj):
+        check, what = _FIELD_TYPES[str(f.type)]
+        value = getattr(obj, f.name)
+        if not check(value):
+            raise JobValidationError(
+                f"{prefix}{f.name} must be {what}, got {value!r}"
+            )
+        if isinstance(value, Workload):
+            _check_types(value, prefix=f"{f.name}.")
+
+
+def _check_names(spec: "JobSpec") -> None:
+    """Reject unknown config labels, NVM kinds, figures, wear policies."""
+    for f in dataclasses.fields(spec):
+        if f.name not in _NAMED_FIELDS:
+            continue
+        what, valid = _NAMED_FIELDS[f.name]
+        value = getattr(spec, f.name)
+        for name in value if isinstance(value, (tuple, list)) else [value]:
+            if name not in valid:
+                raise JobValidationError(
+                    f"unknown {what} {name!r}; have {list(valid)}"
+                )
+
+
+def _to_wire(annotation: str, value: Any) -> Any:
+    if annotation == "Workload":
+        return dataclasses.asdict(value)
+    if annotation == "tuple[float, ...]":
+        return [float(x) for x in value]
+    if annotation == "tuple[str, ...]":
+        return list(value)
+    return value
+
+
+def _from_wire(annotation: str, value: Any) -> Any:
+    """Shape one wire value for its field; types are checked later."""
+    if annotation == "Workload":
+        if not isinstance(value, Mapping):
+            raise JobValidationError("workload must be an object")
+        known = {f.name for f in dataclasses.fields(Workload)}
+        bad = set(value) - known
+        if bad:
+            raise JobValidationError(
+                f"unknown workload field(s) {sorted(bad)}; have {sorted(known)}"
+            )
+        return Workload(**value)
+    if annotation.startswith("tuple[") and isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+@dataclass(frozen=True)
+class JobReport:
+    """What running a cell/matrix/figure/headline spec produced: the
+    wire payload and, for exhibits, the rendered text."""
+
+    payload: dict
+    text: str = ""
+
+    def to_payload(self) -> dict:
+        return self.payload
 
 
 @dataclass(frozen=True)
@@ -98,67 +225,53 @@ class JobSpec:
 
     # -- validation -----------------------------------------------------
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise JobValidationError(f"seed must be an int, got {self.seed!r}")
+        """Type-check every field, check the names and the values every
+        job shares; subclasses add their exhibit's own value checks."""
+        _check_types(self)
+        _check_names(self)
         if self.workload.panels < 1 or self.workload.panel_bytes < 1:
             raise JobValidationError(
                 f"workload must stream at least one panel byte, got "
                 f"panels={self.workload.panels} panel_bytes={self.workload.panel_bytes}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise JobValidationError(
-                f"deadline_s must be positive, got {self.deadline_s!r}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise JobValidationError(
-                f"timeout_s must be positive, got {self.timeout_s!r}"
-            )
-        if self.trace_id is not None and not isinstance(self.trace_id, str):
-            raise JobValidationError(
-                f"trace_id must be a string, got {self.trace_id!r}"
-            )
-        if (
-            not isinstance(self.arrival_offset_s, (int, float))
-            or isinstance(self.arrival_offset_s, bool)
-            or self.arrival_offset_s < 0
-        ):
+        for name in ("deadline_s", "timeout_s"):
+            budget = getattr(self, name)
+            if budget is not None and budget <= 0:
+                raise JobValidationError(f"{name} must be positive, got {budget!r}")
+        if self.arrival_offset_s < 0:
             raise JobValidationError(
                 f"arrival_offset_s must be a non-negative number, "
                 f"got {self.arrival_offset_s!r}"
             )
 
+    # -- execution ------------------------------------------------------
+    def run(self, engine: "MatrixEngine") -> Any:
+        """Compute the job on ``engine``; returns a report with
+        ``.text`` and ``to_payload()`` (sweeps also ``publish``)."""
+        raise NotImplementedError
+
     # -- identity -------------------------------------------------------
     def key(self) -> str:
         """Coalescing identity: equal keys -> field-for-field equal results."""
-        blob = json.dumps(self._key_parts(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _key_parts(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "job": self.job_type,
-            "workload": dataclasses.asdict(self.workload),
-            "seed": self.seed,
-            "with_remaining": bool(self.with_remaining),
+        parts = {
+            name: value
+            for name, value in self.to_dict().items()
+            if name not in SCHEDULING_FIELDS
         }
+        return key_digest({"schema": SCHEMA_VERSION, **parts})
 
     # -- wire format ----------------------------------------------------
     def to_dict(self) -> dict:
-        d = {
-            "job": self.job_type,
-            "workload": dataclasses.asdict(self.workload),
-            "seed": self.seed,
-            "with_remaining": self.with_remaining,
-            "priority": self.priority,
-        }
-        if self.deadline_s is not None:
-            d["deadline_s"] = self.deadline_s
-        if self.timeout_s is not None:
-            d["timeout_s"] = self.timeout_s
-        if self.trace_id is not None:
-            d["trace_id"] = self.trace_id
-        if self.arrival_offset_s:
-            d["arrival_offset_s"] = self.arrival_offset_s
+        d = {"job": self.job_type}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (
+                f.name in SCHEDULING_FIELDS
+                and f.name != "priority"
+                and value == f.default
+            ):
+                continue
+            d[f.name] = _to_wire(str(f.type), value)
         return d
 
     def describe(self) -> str:
@@ -174,16 +287,12 @@ class CellJob(JobSpec):
 
     job_type = "cell"
 
-    def validate(self) -> None:
-        super().validate()
-        if self.label not in VALID_LABELS:
-            raise JobValidationError(
-                f"unknown config label {self.label!r}; have {sorted(VALID_LABELS)}"
-            )
-        if self.kind not in VALID_KINDS:
-            raise JobValidationError(
-                f"unknown NVM kind {self.kind!r}; have {sorted(VALID_KINDS)}"
-            )
+    def run(self, engine: "MatrixEngine") -> JobReport:
+        cell = (self.label, self.kind)
+        results = engine.run_cells(
+            [cell], self.workload, self.seed, self.with_remaining
+        )
+        return JobReport({"kind": "cell", "result": cell_payload(results[cell])})
 
     def key(self) -> str:
         # exactly the ResultCache cell key: the service coalesces on the
@@ -191,9 +300,6 @@ class CellJob(JobSpec):
         return cell_key(
             self.label, self.kind, self.workload, self.seed, self.with_remaining
         )
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "label": self.label, "kind": self.kind}
 
     def describe(self) -> str:
         return f"cell({self.label}, {self.kind})"
@@ -212,30 +318,18 @@ class MatrixJob(JobSpec):
         super().validate()
         if not self.labels or not self.kinds:
             raise JobValidationError("matrix job needs at least one label and kind")
-        for label in self.labels:
-            if label not in VALID_LABELS:
-                raise JobValidationError(
-                    f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
-                )
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise JobValidationError(
-                    f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
-                )
 
-    def _key_parts(self) -> dict:
-        return {
-            **super()._key_parts(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-        }
+    def run(self, engine: "MatrixEngine") -> JobReport:
+        results = engine.run_matrix(
+            self.labels, self.kinds, self.workload, self.seed, self.with_remaining
+        )
+        return JobReport({
+            "kind": "matrix",
+            "results": {
+                f"{label}|{kind}": cell_payload(res)
+                for (label, kind), res in results.items()
+            },
+        })
 
     def describe(self) -> str:
         return f"matrix({len(self.labels)}x{len(self.kinds)})"
@@ -249,18 +343,11 @@ class FigureJob(JobSpec):
 
     job_type = "figure"
 
-    def validate(self) -> None:
-        super().validate()
-        if self.figure not in FIGURE_NAMES:
-            raise JobValidationError(
-                f"unknown figure {self.figure!r}; have {list(FIGURE_NAMES)}"
-            )
-
-    def _key_parts(self) -> dict:
-        return {**super()._key_parts(), "figure": self.figure}
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "figure": self.figure}
+    def run(self, engine: "MatrixEngine") -> JobReport:
+        text = getattr(figures, self.figure)(self.workload, engine=engine).text
+        return JobReport(
+            {"kind": "figure", "figure": self.figure, "text": text}, text
+        )
 
     def describe(self) -> str:
         return self.figure
@@ -272,8 +359,9 @@ class HeadlineJob(JobSpec):
 
     job_type = "headline"
 
-    def describe(self) -> str:
-        return "headline"
+    def run(self, engine: "MatrixEngine") -> JobReport:
+        text = compute_headline(self.workload, engine=engine).render()
+        return JobReport({"kind": "headline", "text": text}, text)
 
 
 @dataclass(frozen=True)
@@ -282,6 +370,8 @@ class LifetimeJob(JobSpec):
 
     ``ages`` are fractions of rated lifetime in ``[0, 1)``;
     ``wear_policy`` is one of :data:`repro.lifetime.WEAR_POLICIES`.
+    The engine's fault regime, if any, is the base the age-coupled
+    rates overlay.
     """
 
     labels: tuple[str, ...] = ()
@@ -293,50 +383,29 @@ class LifetimeJob(JobSpec):
 
     def validate(self) -> None:
         super().validate()
-        from ..lifetime.wear import WEAR_POLICIES
-
         if not self.labels or not self.kinds or not self.ages:
             raise JobValidationError(
                 "lifetime job needs at least one label, kind and age"
             )
-        for label in self.labels:
-            if label not in VALID_LABELS:
-                raise JobValidationError(
-                    f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
-                )
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise JobValidationError(
-                    f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
-                )
         for age in self.ages:
-            if not isinstance(age, (int, float)) or not 0.0 <= age < 1.0:
+            if not 0.0 <= age < 1.0:
                 raise JobValidationError(
                     f"ages must be fractions in [0, 1), got {age!r}"
                 )
-        if self.wear_policy not in WEAR_POLICIES:
-            raise JobValidationError(
-                f"unknown wear policy {self.wear_policy!r}; "
-                f"have {list(WEAR_POLICIES)}"
-            )
 
-    def _key_parts(self) -> dict:
-        return {
-            **super()._key_parts(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "ages": [float(a) for a in self.ages],
-            "wear_policy": self.wear_policy,
-        }
+    def run(self, engine: "MatrixEngine") -> "LifetimeSweepReport":
+        from ..lifetime.sweep import lifetime_sweep
 
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "ages": [float(a) for a in self.ages],
-            "wear_policy": self.wear_policy,
-        }
+        return lifetime_sweep(
+            self.labels,
+            kinds=self.kinds,
+            ages=self.ages,
+            policy=WearPolicy(kind=self.wear_policy),
+            workload=self.workload,
+            seed=self.seed,
+            base_faults=engine.faults,
+            engine=engine,
+        )
 
     def describe(self) -> str:
         return (
@@ -351,7 +420,8 @@ class NetfaultJob(JobSpec):
 
     Re-plots the CNL-vs-ION gap under fabric degradation (see
     :mod:`repro.netfault`); ``net_seed`` seeds the per-packet loss
-    oracle, ``mtu_bytes`` sets the frame size.
+    oracle, ``mtu_bytes`` sets the frame size.  Empty ``labels`` /
+    ``kinds`` mean every Table-2 row / every NVM kind.
     """
 
     loss_rates: tuple[float, ...] = (0.0, 0.01, 0.05)
@@ -367,52 +437,32 @@ class NetfaultJob(JobSpec):
         if not self.loss_rates:
             raise JobValidationError("netfault job needs at least one loss rate")
         for rate in self.loss_rates:
-            if (
-                not isinstance(rate, (int, float))
-                or isinstance(rate, bool)
-                or not 0.0 <= rate <= 1.0
-            ):
+            if not 0.0 <= rate <= 1.0:
                 raise JobValidationError(
                     f"loss rates must be fractions in [0, 1], got {rate!r}"
                 )
-        for label in self.labels:
-            if label not in VALID_LABELS:
-                raise JobValidationError(
-                    f"unknown config label {label!r}; have {sorted(VALID_LABELS)}"
-                )
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise JobValidationError(
-                    f"unknown NVM kind {kind!r}; have {sorted(VALID_KINDS)}"
-                )
-        if not isinstance(self.net_seed, int) or isinstance(self.net_seed, bool):
-            raise JobValidationError(
-                f"net_seed must be an int, got {self.net_seed!r}"
-            )
-        if not isinstance(self.mtu_bytes, int) or self.mtu_bytes < 1:
+        if self.mtu_bytes < 1:
             raise JobValidationError(
                 f"mtu_bytes must be a positive int, got {self.mtu_bytes!r}"
             )
 
-    def _key_parts(self) -> dict:
-        return {
-            **super()._key_parts(),
-            "loss_rates": [float(r) for r in self.loss_rates],
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "net_seed": self.net_seed,
-            "mtu_bytes": self.mtu_bytes,
-        }
+    def run(
+        self, engine: "MatrixEngine", stats: Optional["NetStatsRecorder"] = None
+    ) -> "NetfaultReport":
+        """``stats`` records every packet of the calibration runs."""
+        from ..netfault.exhibit import netfault_exhibit
 
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "loss_rates": [float(r) for r in self.loss_rates],
-            "labels": list(self.labels),
-            "kinds": list(self.kinds),
-            "net_seed": self.net_seed,
-            "mtu_bytes": self.mtu_bytes,
-        }
+        return netfault_exhibit(
+            self.workload,
+            engine=engine,
+            loss_rates=self.loss_rates,
+            labels=self.labels or None,
+            kinds=self.kinds or None,
+            net_seed=self.net_seed,
+            mtu_bytes=self.mtu_bytes,
+            seed=self.seed,
+            stats=stats,
+        )
 
     def describe(self) -> str:
         return (
@@ -421,65 +471,33 @@ class NetfaultJob(JobSpec):
         )
 
 
-_JOB_TYPES: dict[str, type[JobSpec]] = {
-    "cell": CellJob,
-    "matrix": MatrixJob,
-    "figure": FigureJob,
-    "headline": HeadlineJob,
-    "lifetime": LifetimeJob,
-    "netfault": NetfaultJob,
+#: the registry: wire job name -> spec class
+JOB_TYPES: dict[str, type[JobSpec]] = {
+    cls.job_type: cls
+    for cls in (CellJob, MatrixJob, FigureJob, HeadlineJob, LifetimeJob, NetfaultJob)
 }
 
 
 def job_from_dict(data: Mapping[str, Any]) -> JobSpec:
-    """Parse + validate a wire-format job dict; raises JobValidationError."""
+    """Parse + validate a wire-format job dict; raises JobValidationError.
+
+    Fields the spec does not declare are ignored; declared fields that
+    are missing take their defaults.
+    """
     if not isinstance(data, Mapping):
         raise JobValidationError(f"job must be an object, got {type(data).__name__}")
     job_type = data.get("job")
-    cls = _JOB_TYPES.get(job_type)
+    cls = JOB_TYPES.get(job_type) if isinstance(job_type, str) else None
     if cls is None:
         raise JobValidationError(
-            f"unknown job type {job_type!r}; have {sorted(_JOB_TYPES)}"
+            f"unknown job type {job_type!r}; have {sorted(JOB_TYPES)}"
         )
-    kwargs: dict[str, Any] = {}
     try:
-        if "workload" in data:
-            w = data["workload"]
-            if not isinstance(w, Mapping):
-                raise JobValidationError("workload must be an object")
-            known = {f.name for f in dataclasses.fields(Workload)}
-            bad = set(w) - known
-            if bad:
-                raise JobValidationError(
-                    f"unknown workload field(s) {sorted(bad)}; have {sorted(known)}"
-                )
-            kwargs["workload"] = Workload(**w)
-        for name in ("seed", "with_remaining", "priority", "deadline_s",
-                     "timeout_s", "trace_id", "arrival_offset_s"):
-            if name in data:
-                kwargs[name] = data[name]
-        if cls is CellJob:
-            kwargs["label"] = data.get("label", "")
-            kwargs["kind"] = data.get("kind", "")
-        elif cls is MatrixJob:
-            kwargs["labels"] = tuple(data.get("labels", ()))
-            kwargs["kinds"] = tuple(data.get("kinds", ()))
-        elif cls is FigureJob:
-            kwargs["figure"] = data.get("figure", "")
-        elif cls is LifetimeJob:
-            kwargs["labels"] = tuple(data.get("labels", ()))
-            kwargs["kinds"] = tuple(data.get("kinds", ()))
-            kwargs["ages"] = tuple(data.get("ages", (0.0, 0.5, 0.9)))
-            kwargs["wear_policy"] = data.get("wear_policy", "dynamic")
-        elif cls is NetfaultJob:
-            kwargs["loss_rates"] = tuple(
-                data.get("loss_rates", (0.0, 0.01, 0.05))
-            )
-            kwargs["labels"] = tuple(data.get("labels", ()))
-            kwargs["kinds"] = tuple(data.get("kinds", ()))
-            kwargs["net_seed"] = data.get("net_seed", 0)
-            kwargs["mtu_bytes"] = data.get("mtu_bytes", 4096)
-        spec = cls(**kwargs)
+        spec = cls(**{
+            f.name: _from_wire(str(f.type), data[f.name])
+            for f in dataclasses.fields(cls)
+            if f.name in data
+        })
     except JobValidationError:
         raise
     except (TypeError, ValueError) as exc:

@@ -214,7 +214,9 @@ class SimulationService:
                     else:
                         self.queue.put_nowait(entry, spec.priority)
                         shed = None
-                except ServiceError:
+                except Exception:
+                    # any admission failure releases the lease, or later
+                    # identical jobs would coalesce onto a dead entry
                     self.coalescer.forget(entry)
                     raise
                 self.metrics.admitted += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.experiments import Workload
@@ -12,6 +14,7 @@ from repro.service import (
     HeadlineJob,
     JobValidationError,
     MatrixJob,
+    SimulationService,
     job_from_dict,
 )
 
@@ -121,3 +124,58 @@ class TestWireFormat:
     def test_rejects_malformed_field_types(self):
         with pytest.raises(JobValidationError):
             job_from_dict({"job": "headline", "workload": "big"})
+
+
+_CELL = {"job": "cell", "label": "CNL-UFS", "kind": "SLC"}
+
+
+class TestFieldTypes:
+    """The field-driven parser type-checks every field on the wire."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param({**_CELL, "workload": {"panels": "3"}}, id="panels-str"),
+            pytest.param({**_CELL, "workload": {"panel_bytes": True}},
+                         id="panel_bytes-bool"),
+            pytest.param({**_CELL, "with_remaining": "false"},
+                         id="with_remaining-str"),
+            pytest.param({**_CELL, "priority": "high"}, id="priority-str"),
+            pytest.param({**_CELL, "priority": True}, id="priority-bool"),
+            pytest.param({**_CELL, "seed": 1.5}, id="seed-float"),
+            pytest.param({**_CELL, "deadline_s": True}, id="deadline-bool"),
+            pytest.param({**_CELL, "trace_id": 7}, id="trace_id-int"),
+            pytest.param({**_CELL, "label": ["CNL-UFS"]}, id="label-list"),
+            pytest.param({"job": "lifetime", "labels": ["CNL-UFS"],
+                          "kinds": ["TLC"], "ages": [False]}, id="ages-bool"),
+            pytest.param({"job": "lifetime", "labels": "CNL-UFS",
+                          "kinds": ["TLC"]}, id="labels-str"),
+            pytest.param({"job": "netfault", "loss_rates": [True]},
+                         id="loss_rates-bool"),
+            pytest.param({"job": "netfault", "mtu_bytes": True}, id="mtu-bool"),
+            pytest.param({"job": "figure", "figure": None}, id="figure-null"),
+            pytest.param({"job": ["cell"]}, id="job-list"),
+        ],
+    )
+    def test_malformed_field_is_invalid_job_and_counted(self, data):
+        with pytest.raises(JobValidationError) as exc:
+            job_from_dict(data)
+        assert exc.value.code == "invalid_job"
+
+        async def submit():
+            service = SimulationService()
+            with pytest.raises(JobValidationError):
+                service.submit(data)
+            return service.metrics.snapshot()
+
+        snap = asyncio.run(submit())
+        assert snap["rejected"] == {"invalid_job": 1}
+
+    def test_in_process_specs_are_type_checked_too(self):
+        with pytest.raises(JobValidationError, match="priority"):
+            CellJob(label="CNL-UFS", kind="SLC", priority="high").validate()
+
+    def test_wire_numbers_keep_their_type(self):
+        spec = job_from_dict({**_CELL, "arrival_offset_s": 2, "seed": 9})
+        assert spec.to_dict()["arrival_offset_s"] == 2
+        assert spec.key() == cell_key("CNL-UFS", "SLC", spec.workload, 9, True)

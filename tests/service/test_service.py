@@ -304,3 +304,46 @@ class TestProgress:
         assert last["event"] == "progress"
         assert last["done"] == last["total"] == 1
         assert last["cell"] == ["CNL-UFS", "SLC"]
+
+
+class TestAdmissionFailureReleasesLease:
+    def test_bad_priority_does_not_orphan_the_coalescer_entry(self):
+        """A rejected submit must not leave a lease later jobs coalesce on."""
+        job = {"job": "cell", "label": "CNL-UFS", "kind": "SLC",
+               "workload": {"panels": 2, "panel_bytes": 64 * KiB}}
+
+        async def scenario():
+            service = SimulationService(queue_limit=4, max_concurrency=1)
+            await service.start()
+            try:
+                with pytest.raises(ServiceError) as exc:
+                    service.submit({**job, "priority": "high"})
+                assert exc.value.code == "invalid_job"
+                assert service.coalescer.in_flight == 0
+                handle = service.submit(job)
+                assert not handle.coalesced
+                result = await asyncio.wait_for(handle.result(), 60)
+                return result, service.status()
+            finally:
+                # an orphaned entry would make the drain wait forever
+                await asyncio.wait_for(service.shutdown(), 30)
+
+        result, status = run(scenario())
+        assert result["kind"] == "cell"
+        assert status["completed"] == 1
+        assert status["rejected"] == {"invalid_job": 1}
+
+    def test_any_admission_failure_releases_the_lease(self, monkeypatch):
+        async def scenario():
+            service = SimulationService(queue_limit=4, max_concurrency=1)
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("queue broke")
+
+            monkeypatch.setattr(service.queue, "put_or_shed", boom)
+            spec = CellJob(label="CNL-UFS", kind="SLC", workload=TINY)
+            with pytest.raises(RuntimeError):
+                service.submit(spec)
+            return service.coalescer.in_flight
+
+        assert run(scenario()) == 0
