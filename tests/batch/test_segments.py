@@ -1,7 +1,7 @@
 """Unit tests of the segmented interval algebra.
 
-The one-sweep union measure must agree exactly with the scalar
-``repro.sim.intervals`` merge+measure on every key — including
+The one-sweep union measure must agree exactly with the reference
+``tests.oracle.intervals`` merge+measure on every key — including
 degenerate rows, empty keys, unsorted input, and adversarial overlap
 patterns — because the batch metrics pass leans on that equality for
 its bit-identity guarantee.
@@ -18,7 +18,7 @@ from repro.batch.segments import (
     sorted_filter,
     union_measure,
 )
-from repro.sim import intervals
+from tests.oracle import intervals
 
 
 def _reference(key, start, end, n_keys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import intervals as iv
+from tests.oracle import intervals as iv
 
 
 def ivs(*pairs):
