@@ -11,8 +11,8 @@ import numpy as np
 
 from repro.interconnect import HostPath, bridged_pcie2
 from repro.nvm import ONFI3_SDR400, TLC
+from repro.batch.segments import union_measure
 from repro.ooc import DataPool, DOoCStore, OutOfCoreOperator, PanelizedMatrix, ci_hamiltonian, lobpcg
-from repro.sim import intervals as iv
 from repro.ssd import DeviceFTL, Geometry, TransactionScheduler
 from repro.ssd.request import DeviceCommand
 
@@ -52,13 +52,14 @@ def test_ftl_translate_throughput(benchmark):
 
 
 def test_interval_union_measure(benchmark):
-    """Interval merge/measure on a realistic busy-interval volume."""
+    """Segmented union measure on a realistic busy-interval volume."""
     rng = np.random.default_rng(5)
     starts = np.sort(rng.integers(0, 10**9, size=50_000))
-    ivs = np.column_stack([starts, starts + rng.integers(1, 10**5, size=50_000)])
+    ends = starts + rng.integers(1, 10**5, size=50_000)
+    keys = np.zeros(len(starts), dtype=np.int64)
 
-    total = benchmark(iv.measure, ivs)
-    assert total > 0
+    total = benchmark(union_measure, keys, starts, ends, 1)
+    assert total[0] > 0
 
 
 def test_lobpcg_iteration(benchmark):

@@ -18,10 +18,12 @@ controller loop and scheduler recurrence, and finally computes all
 paper metrics with segmented (per-lane) interval algebra in a second
 stacked sweep.
 
-The scalar path (``ssd/scheduler.py`` + ``ssd/metrics.py`` +
-``experiments/runner.py``) is the frozen bit-exact reference — never
-deleted, and golden tests assert :class:`~repro.ssd.metrics.RunMetrics`
-equality between the two backends for all 52 Table-2 cells.
+The scalar replay (``ssd/scheduler.py`` + ``experiments/runner.py``)
+handles every cell the plan cannot express, and golden tests assert
+:class:`~repro.ssd.metrics.RunMetrics` equality between the two backends
+for all 52 Table-2 cells.  Both backends share one metrics pass
+(:mod:`repro.batch.metrics`; the scalar path calls it at width 1).  Its
+per-resource reference lives in ``tests/oracle/``.
 
 Fallback contract: anything the columnar plan cannot express — write or
 trim commands, cold (unmapped) reads, fault injection, non-FIFO queue

@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..experiments.runner import ConfigResult, Workload, emit_replay_spans
-from ..interconnect.host import HostPath
+from ..interconnect.unconstrained import make_unconstrained
 from ..obs import trace as obs
-from ..nvm.bus import BusSpec
 from ..ssd.controller import SSDevice
 from ..ssd.scheduler import TxnLog
 from .metrics import compute_metrics_batch
@@ -62,13 +61,6 @@ def _install_lane(device: SSDevice, plan: CellPlan, lane: str) -> None:
         device.geom, device.bus, device.host, cols
     )
     device.defer_metrics = True
-
-
-def _make_unconstrained(device: SSDevice) -> None:
-    """Mutate the device into the Figs-7b/8b peak configuration."""
-    device.bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    device.host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    device.command_overhead_ns = 0
 
 
 def _aggregate_mb(log: TxnLog) -> float:
@@ -157,7 +149,7 @@ def run_cells_batch(
             if cache is not None:
                 peak = cache.get_peak(plan.label, plan.kind_name, workload, seed)
             if peak is None:
-                _make_unconstrained(device)
+                make_unconstrained(device)
                 _install_lane(device, plan, "peak")
                 peak_log = device.run(
                     plan.groups, posix_window=plan.posix_window

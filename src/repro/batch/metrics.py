@@ -1,33 +1,35 @@
 """Stacked metrics: every paper metric for many lanes in one sweep.
 
-Mirrors :func:`repro.ssd.metrics.compute_metrics` exactly, but where
-the scalar pass loops over resources and requests per cell, this pass
-concatenates the finished transaction logs of all lanes (cells) and
-computes the interval families once, keyed by dense (lane, resource)
-and (lane, request) ids via :mod:`repro.batch.segments`.
+This is the simulator's one metrics pass.  It concatenates the finished
+transaction logs of all lanes (cells) and computes the interval
+families once, keyed by dense (lane, resource) and (lane, request) ids
+via :mod:`repro.batch.segments`.  :func:`repro.ssd.metrics.compute_metrics`
+is its width-1 call; :func:`compute_metrics_batch` runs it over the
+batch backend's lanes.  ``tests/oracle/metrics.py`` keeps a
+per-channel / per-request reference built on explicit interval merge,
+intersect and subtract, and tests require this pass to equal it bit for
+bit.
 
 Bit-identity argument, per quantity:
 
-* union measures are exact int64 throughout; the scalar path's
+* union measures are exact int64 throughout; the reference's
   ``subtract``-based exclusive measures become differences of union
   measures (each subtrahend family lies inside its minuend family),
 * per-channel wait sums are float64 sums of exact integers far below
-  2**53, so ``bincount`` equals the scalar ``ndarray.sum`` exactly,
-* the only *inexact* float arithmetic in the scalar pass — the
-  contention split, the breakdown normalization, bandwidth division
-  and utilization ratios — is replayed here operation-for-operation in
-  the same order (channels ascending, BREAKDOWN_KEYS order),
-* the pattern-peak replay reuses the inherited ``_schedule_arrays``
-  recurrence on the lane's own log columns — the same int64 inputs the
-  scalar ``media_pattern_peak`` rebuilds from tuples.
+  2**53, so ``bincount`` equals a per-channel ``ndarray.sum`` exactly,
+* the only *inexact* float arithmetic — the contention split, the
+  breakdown normalization, bandwidth division and utilization ratios —
+  runs operation-for-operation in the reference's order (channels
+  ascending, BREAKDOWN_KEYS order),
+* each lane's pattern peak is an input, computed before any interval
+  family is built, so the peak replay's scheduler buffers are freed
+  before the families are allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..interconnect.host import HostPath
-from ..nvm.bus import BusSpec
 from ..nvm.kinds import NVMKind
 from ..ssd.geometry import Geometry
 from ..ssd.metrics import (
@@ -35,65 +37,36 @@ from ..ssd.metrics import (
     PAL_KEYS,
     RunMetrics,
     _client_bandwidth,
+    _pattern_peak,
 )
 from ..ssd.request import OpCode
-from ..ssd.scheduler import TransactionScheduler, TxnLog
+from ..ssd.scheduler import TxnLog
 from .segments import distinct_count, measure_sorted, sorted_filter, union_measure
 
-__all__ = ["compute_metrics_batch", "pattern_peak_from_log"]
+__all__ = ["compute_metrics_batch", "pattern_peak_from_log", "stacked_metrics"]
 
 
 def pattern_peak_from_log(log: TxnLog, geom: Geometry, kind: NVMKind) -> float:
-    """Media ceiling of the observed pattern, from log columns.
-
-    Equivalent to :func:`repro.ssd.metrics.media_pattern_peak` minus
-    the tuple round-trip: the unconstrained scheduler's vectorized
-    pre-pass is applied to the log's own int64 columns and fed to the
-    inherited recurrence.
-    """
-    n = len(log)
-    if n == 0:
-        return 0.0
-    host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    sched = TransactionScheduler(geom, bus, host, kind=kind)
-
-    op_a = log["op"]
-    flat_a = log["flat"]
-    nbytes_a = log["nbytes"]
-    group_a = log["group"]
-    pib_a = log["pib"]
-    u_a = flat_a % geom.plane_units
-    read_ladder = sched._read_ladder_a
-    prog_ladder = sched._prog_ladder_a
-    cell_a = np.full(n, kind.erase_ns, dtype=np.int64)
-    is_read = op_a == OpCode.READ
-    is_write = op_a == OpCode.WRITE
-    if is_read.any():
-        cell_a[is_read] = read_ladder[pib_a[is_read] % len(read_ladder)]
-    if is_write.any():
-        cell_a[is_write] = prog_ladder[pib_a[is_write] % len(prog_ladder)]
-    fb_a = (nbytes_a * sched._bus_ns_per_byte).astype(np.int64)
-    hb_a = (nbytes_a * sched._host_ns_per_byte).astype(np.int64)
-    shared = np.zeros(n, dtype=bool)
-    if n > 1:
-        shared[1:] = (group_a[1:] >= 0) & (group_a[1:] == group_a[:-1])
-    cmd_a = np.where(shared, 0, sched._cmd_ns)
-
-    end = sched._schedule_arrays(
-        0, 0, 0, "data",
-        op_a, flat_a, nbytes_a, group_a, pib_a,
-        u_a, log["plane"], log["channel"], log["package"], log["die"],
-        cell_a, fb_a, hb_a, cmd_a,
-    )
-    payload = int(nbytes_a[log["kind_code"] == 0].sum())
-    return payload * 1e9 / end if end > 0 else 0.0
+    """Media ceiling of the observed pattern; see
+    :func:`repro.ssd.metrics.media_pattern_peak`."""
+    # a name of its own so perfbench/tracing.py can time the batch peak
+    # apart from the scalar one (media_pattern_peak)
+    return _pattern_peak(log, geom, kind)
 
 
 def compute_metrics_batch(
     items: list[tuple[TxnLog, Geometry, NVMKind]],
 ) -> list[RunMetrics]:
     """Derive :class:`RunMetrics` for every (log, geom, kind) lane."""
+    peaks = [pattern_peak_from_log(log, geom, kind) for log, geom, kind in items]
+    return stacked_metrics([(log, geom) for log, geom, _ in items], peaks)
+
+
+def stacked_metrics(
+    items: list[tuple[TxnLog, Geometry]], peaks: list[float]
+) -> list[RunMetrics]:
+    """:class:`RunMetrics` for every (log, geom) lane, given its pattern
+    peak (bytes/sec)."""
     n_lanes = len(items)
     if n_lanes == 0:
         return []
@@ -104,7 +77,8 @@ def compute_metrics_batch(
         return [RunMetrics(0, 0, 0.0) for _ in items]
 
     def cat(name: str) -> np.ndarray:
-        return np.concatenate([log[name] for log in logs if len(log)])
+        cols = [log[name] for log in logs if len(log)]
+        return cols[0] if len(cols) == 1 else np.concatenate(cols)
 
     lane_row = np.repeat(np.arange(n_lanes, dtype=np.int64), lens)
     chan = cat("channel")
@@ -122,8 +96,8 @@ def compute_metrics_batch(
     md = cat("media_done")
 
     # dense (lane, resource) and (lane, request) keys
-    c_max = max(g.channels for _, g, _ in items)
-    p_max = max(g.packages for _, g, _ in items)
+    c_max = max(g.channels for _, g in items)
+    p_max = max(g.packages for _, g in items)
     lane_chan = lane_row * c_max + chan
     lane_pkg = lane_row * p_max + pkg
     n_ch_keys = n_lanes * c_max
@@ -196,7 +170,7 @@ def compute_metrics_batch(
     rows_req = np.bincount(lane_req, minlength=n_req_keys)
 
     out: list[RunMetrics] = []
-    for i, (log, geom, kind) in enumerate(items):
+    for i, (log, geom) in enumerate(items):
         n = len(log)
         if n == 0:
             out.append(RunMetrics(0, 0, 0.0))
@@ -205,11 +179,11 @@ def compute_metrics_batch(
         payload = int(log["nbytes"][data_mask].sum())
         makespan = int(log["done"].max() - log["arrival"].min())
         bw = payload * 1e9 / makespan if makespan > 0 else 0.0
-        peak = pattern_peak_from_log(log, geom, kind)
+        peak = peaks[i]
 
         # utilization over the lane's device-active window; resource
-        # intervals lie inside the active window, so the scalar's
-        # intersect-with-active is the identity
+        # intervals lie inside the active window, so intersecting them
+        # with it is the identity
         denom = float(m_active[i])
         ch_count = geom.channels
         pk_count = geom.packages
@@ -222,8 +196,8 @@ def compute_metrics_batch(
             busy_pk = float(m_pkg_busy[i * p_max : i * p_max + pk_count].sum())
             pkg_util = busy_pk / (pk_count * denom)
 
-        # six-way breakdown: channels ascending, then the same
-        # contention split and normalization as the scalar pass
+        # six-way breakdown: channels ascending, then the contention
+        # split and normalization
         totals = dict.fromkeys(BREAKDOWN_KEYS, 0.0)
         for c in range(ch_count):
             key = i * c_max + c

@@ -20,23 +20,21 @@ scheduler slices per command at dispatch time.
 Two lanes are materialized per cell from the same transaction columns:
 
 * ``main`` — the configured bus/host/command-overhead constants,
-* ``peak`` — the unconstrained-interface constants of
-  :func:`repro.experiments.runner._unconstrained_media_peak` (infinite
-  bus and host, zero command overhead), reusing the plan instead of
-  re-translating the identical deterministic stream.
+* ``peak`` — the constants of the unconstrained interface
+  (:mod:`repro.interconnect.unconstrained`: infinite bus and host, zero
+  command overhead), reusing the plan instead of re-translating the
+  identical deterministic stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..core.architecture import StoragePath
 from ..experiments.configs import ExpConfig, config_by_label
-from ..interconnect.host import HostPath
-from ..nvm.bus import BusSpec
+from ..interconnect.unconstrained import INFINITE_BUS, INFINITE_HOST
 from ..nvm.kinds import NVMKind, kind_by_name
 from ..ssd.request import CommandGroup, DeviceCommand, OpCode
 from ..trace.replay import _interleave
@@ -407,11 +405,9 @@ def stack_plans(plans: list[CellPlan]) -> int:
     hb_main = (nbytes * host_npb).astype(np.int64)
     cmd_main = np.where(shared, 0, cmd_ns)
 
-    inf_bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    inf_host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    fb_peak = (nbytes * (1e9 / inf_bus.bytes_per_sec)).astype(np.int64)
-    hb_peak = (nbytes * (1e9 / inf_host.bytes_per_sec)).astype(np.int64)
-    cmd_peak = np.where(shared, 0, np.int64(inf_bus.cmd_ns))
+    fb_peak = (nbytes * (1e9 / INFINITE_BUS.bytes_per_sec)).astype(np.int64)
+    hb_peak = (nbytes * (1e9 / INFINITE_HOST.bytes_per_sec)).astype(np.int64)
+    cmd_peak = np.where(shared, 0, np.int64(INFINITE_BUS.cmd_ns))
 
     offsets = np.cumsum(ns) - ns
     for i, p in enumerate(plans):
@@ -439,20 +435,3 @@ def stack_plans(plans: list[CellPlan]) -> int:
         }
     return total
 
-
-def unconstrained_interface() -> tuple[BusSpec, HostPath]:
-    """The infinite bus/host pair of the peak (Figs 7b/8b) replays."""
-    return (
-        BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0),
-        HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0),
-    )
-
-
-def plan_or_none(
-    label: str, kind_name: str, workload, seed: int
-) -> tuple[Optional[CellPlan], Optional[str]]:
-    """``plan_cell`` that reports the refusal reason instead of raising."""
-    try:
-        return plan_cell(label, kind_name, workload, seed), None
-    except BatchUnsupported as exc:
-        return None, str(exc)

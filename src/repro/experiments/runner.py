@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
+from ..interconnect.unconstrained import make_unconstrained
 from ..nvm.kinds import NVMKind, kind_by_name
 from ..obs import trace as obs
 from ..ssd.metrics import BREAKDOWN_KEYS, RunMetrics
@@ -207,13 +208,8 @@ def _unconstrained_media_peak(
     large remainder, while a file system whose own request stream is
     the bottleneck shows a small one.
     """
-    from ..interconnect.host import HostPath
-    from ..nvm.bus import BusSpec
-
     path = config.build(kind, workload.bytes_per_client, seed=seed)
-    path.device.bus = BusSpec(name="infinite", mhz=10**9, ddr=True, cmd_ns=0)
-    path.device.host = HostPath(name="infinite", bytes_per_sec=1e18, per_request_ns=0)
-    path.device.command_overhead_ns = 0
+    make_unconstrained(path.device)
     if traces is None or len(traces) != path.clients:
         traces = workload.traces(path.clients)
     summary = replay(path, traces, posix_window=workload.posix_window)

@@ -8,7 +8,6 @@ middleware); the NVM transaction path uses the specialized scheduler in
 from .engine import Event, Interrupt, Process, Simulator
 from .resources import Container, Resource, Store
 from .stats import RateMeter, Tally, TimeWeighted, percentile
-from . import intervals
 
 __all__ = [
     "Event",
@@ -22,5 +21,4 @@ __all__ = [
     "Tally",
     "TimeWeighted",
     "percentile",
-    "intervals",
 ]

@@ -206,16 +206,28 @@ class TransactionScheduler:
         if n == 0:
             return arrival
 
-        # -- vectorized pre-pass: everything without a cross-transaction
-        # dependency (address decode, latency ladders, transfer times,
-        # command-sharing discounts) in one numpy sweep
         arr = np.asarray(txns, dtype=np.int64).reshape(n, 5)
-        op_a = arr[:, 0]
-        flat_a = arr[:, 1]
-        nbytes_a = arr[:, 2]
-        group_a = arr[:, 3]
-        pib_a = arr[:, 4]
+        return self._schedule_arrays(
+            arrival, req_id, client, kind_label,
+            *self._prepass(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]),
+        )
 
+    def _prepass(
+        self,
+        op_a: np.ndarray,
+        flat_a: np.ndarray,
+        nbytes_a: np.ndarray,
+        group_a: np.ndarray,
+        pib_a: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """Vectorized pre-pass over int64 transaction columns.
+
+        Everything without a cross-transaction dependency (address
+        decode, latency ladders, transfer times, command-sharing
+        discounts) in one numpy sweep.  Returns the column arguments of
+        :meth:`_schedule_arrays`, in its order.
+        """
+        n = len(op_a)
         u_a = flat_a % self._U
         plane_a = u_a % self._P
         rest = u_a // self._P
@@ -242,9 +254,7 @@ class TransactionScheduler:
         if n > 1:
             shared[1:] = (group_a[1:] >= 0) & (group_a[1:] == group_a[:-1])
         cmd_a = np.where(shared, 0, self._cmd_ns)
-
-        return self._schedule_arrays(
-            arrival, req_id, client, kind_label,
+        return (
             op_a, flat_a, nbytes_a, group_a, pib_a,
             u_a, plane_a, chan_a, pkg_a, die_a,
             cell_a, fb_a, hb_a, cmd_a,
@@ -273,9 +283,10 @@ class TransactionScheduler:
     ) -> int:
         """Resource-timeline recurrence over fully pre-passed columns.
 
-        ``submit`` computes the pre-pass (decode, ladders, transfer
-        times, command sharing) from transaction tuples and delegates
-        here; the columnar batch backend computes the identical pre-pass
+        ``submit`` computes the pre-pass (:meth:`_prepass`: decode,
+        ladders, transfer times, command sharing) from transaction
+        tuples and delegates here; the pattern-peak replay feeds a log's
+        own columns through the same pre-pass; the columnar batch backend computes the identical pre-pass
         for many cells in one stacked numpy sweep at plan time and
         submits slices directly.  Either way the schedule is the same
         recurrence over the same int64 values — bit-identical by
